@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the reproduction's main design choices.
 
 * pulse-efficient RZZ vs CX-CX RZZ — duration and single-shot AR;
 * shared vs per-qubit mixer parameterisation — parameter count vs AR

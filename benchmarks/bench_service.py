@@ -24,6 +24,7 @@ import json
 import math
 import os
 import pickle
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -46,8 +47,9 @@ from repro.telemetry import set_record_sink
 from repro.vqa import ExpectedCutCost
 
 #: bump when entry shapes change so downstream tooling can tell
-#: (v4 adds cost_aware_vs_count_heterogeneous)
-SCHEMA = {"name": "bench_service", "version": 4}
+#: (v4 adds cost_aware_vs_count_heterogeneous; v5 times it as medians
+#: of interleaved pairs and records the workers' BLAS threads)
+SCHEMA = {"name": "bench_service", "version": 5}
 
 RESULTS: dict = {"schema": dict(SCHEMA)}
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
@@ -325,7 +327,7 @@ def _ghz(qubits: int) -> QuantumCircuit:
     return circuit
 
 
-def _heterogeneous_jobs(smoke: bool = False) -> tuple[list, dict]:
+def _heterogeneous_jobs() -> tuple[list, dict]:
     """A mixed-method batch ordered cheap-first, heavy-last.
 
     That ordering is the count planner's worst case: an even split
@@ -333,8 +335,8 @@ def _heterogeneous_jobs(smoke: bool = False) -> tuple[list, dict]:
     worker grinds them back-to-back while the rest sit idle.  The cost
     planner isolates them and dispatches them first.
     """
-    cheap = 6 if smoke else 12
-    heavy_qubits = 7 if smoke else 8
+    cheap = 12
+    heavy_qubits = 8
     jobs: list[CircuitJob] = []
     for index in range(cheap):
         jobs.append(
@@ -373,7 +375,7 @@ def _heterogeneous_jobs(smoke: bool = False) -> tuple[list, dict]:
     return jobs, mix
 
 
-def test_bench_cost_aware_vs_count_heterogeneous(smoke: bool = False):
+def test_bench_cost_aware_vs_count_heterogeneous(pairs: int = 10):
     """Cost-aware vs count-based shard planning on a mixed-method batch.
 
     The full calibration workflow: a recording warm-up run accumulates
@@ -381,13 +383,16 @@ def test_bench_cost_aware_vs_count_heterogeneous(smoke: bool = False):
     auto-refreshes a :class:`CostCalibration` from them (the shipped
     unitless weights deliberately overprice per-shot stabilizer work,
     so real per-method seconds are what make the plan right), and the
-    same batch is then timed under both planners.  Results are asserted
-    byte-identical between planners and vs ``jobs=1`` on every machine;
-    the ``>= 1.3x`` speedup assertion needs at least 2 real CPUs.
+    same batch is then timed under both planners in ``pairs``
+    interleaved count/cost pairs (the order alternating per pair, so
+    drift in machine speed hits both planners alike).  One run of this
+    batch takes ~0.3-0.6 s, so a single timing is noise; the gate is
+    the ratio of the two medians.  Results are asserted byte-identical
+    between planners and vs ``jobs=1`` on every machine; the
+    ``>= 1.3x`` speedup assertion needs at least 2 real CPUs.
     """
     backend = FakeGuadalupe()
-    jobs, mix = _heterogeneous_jobs(smoke)
-    repeats = 1 if smoke else 3
+    jobs, mix = _heterogeneous_jobs()
     cpus = _cpu_count()
     with tempfile.TemporaryDirectory() as root:
         set_record_sink(root)
@@ -400,29 +405,33 @@ def test_bench_cost_aware_vs_count_heterogeneous(smoke: bool = False):
             ) as warmup:
                 for _ in range(3):
                     warmup.run_jobs(jobs)
-            count_service = ExecutionService(
-                backend, jobs=2, shard_planner="count"
-            )
-            cost_service = ExecutionService(backend, jobs=2)
+            services = {
+                "count": ExecutionService(
+                    backend, jobs=2, shard_planner="count"
+                ),
+                "cost": ExecutionService(backend, jobs=2),
+            }
         finally:
             set_record_sink(None)
-    assert cost_service.calibration is not None, (
+    assert services["cost"].calibration is not None, (
         "calibration auto-refresh found no usable records"
     )
+    seconds: dict[str, list[float]] = {"count": [], "cost": []}
+    outputs = {}
     try:
-        count_service.run_jobs(jobs)  # warm pool, caches, propagators
-        count_seconds, (count_results, count_meta) = _best_of(
-            lambda: count_service.run_jobs(jobs), repeats
-        )
+        for service in services.values():
+            service.run_jobs(jobs)  # warm pool, caches, propagators
+        for pair in range(pairs):
+            order = ("count", "cost") if pair % 2 == 0 else ("cost", "count")
+            for name in order:
+                t0 = time.perf_counter()
+                outputs[name] = services[name].run_jobs(jobs)
+                seconds[name].append(time.perf_counter() - t0)
     finally:
-        count_service.shutdown()
-    try:
-        cost_service.run_jobs(jobs)
-        cost_seconds, (cost_results, cost_meta) = _best_of(
-            lambda: cost_service.run_jobs(jobs), repeats
-        )
-    finally:
-        cost_service.shutdown()
+        for service in services.values():
+            service.shutdown()
+    count_results, count_meta = outputs["count"]
+    cost_results, cost_meta = outputs["cost"]
     with ExecutionService(backend, jobs=1) as inline_service:
         inline_results, _ = inline_service.run_jobs(jobs)
 
@@ -438,12 +447,27 @@ def test_bench_cost_aware_vs_count_heterogeneous(smoke: bool = False):
             == pickle.dumps(inline_exp)
         ), "shard planning changed results — the invariant is broken"
 
+    count_seconds = statistics.median(seconds["count"])
+    cost_seconds = statistics.median(seconds["cost"])
     speedup = count_seconds / cost_seconds
+    cost_won = sum(
+        count > cost for count, cost in zip(seconds["count"], seconds["cost"])
+    )
+    blas_threads = sorted(
+        {
+            worker.get("blas_threads")
+            for worker in cost_meta["per_worker"].values()
+        },
+        key=str,
+    )
     RESULTS["cost_aware_vs_count_heterogeneous"] = {
         "count_ms": round(count_seconds * 1e3, 2),
         "cost_ms": round(cost_seconds * 1e3, 2),
         "speedup_cost_vs_count": round(speedup, 2),
+        "pairs": pairs,
+        "cost_won_pairs": cost_won,
         "workers": 2,
+        "worker_blas_threads": blas_threads,
         "job_mix": mix,
         "calibrated": cost_meta["scheduler"]["calibrated"],
         "shard_imbalance": {
@@ -452,17 +476,17 @@ def test_bench_cost_aware_vs_count_heterogeneous(smoke: bool = False):
         },
         "note": (
             "cheap-first/heavy-last mixed-method batch on 2 workers; "
-            "byte-identical results under both planners and jobs=1; "
-            "speedup needs >= 2 real CPUs (ceiling ~2x when the heavy "
-            "tail dominates)"
+            "medians of interleaved count/cost pairs; byte-identical "
+            "results under both planners and jobs=1; speedup needs "
+            ">= 2 real CPUs (ceiling ~2x when the heavy tail dominates)"
         ),
     }
     _flush()
     print(
-        f"cost-aware vs count: count {count_seconds * 1e3:.1f} ms -> "
-        f"cost {cost_seconds * 1e3:.1f} ms ({speedup:.2f}x, "
-        f"imbalance {count_meta['scheduler'].get('shard_imbalance')} -> "
-        f"{cost_meta['scheduler'].get('shard_imbalance')})"
+        f"cost-aware vs count (medians of {pairs} pairs): count "
+        f"{count_seconds * 1e3:.1f} ms -> cost {cost_seconds * 1e3:.1f} ms "
+        f"({speedup:.2f}x, cost won {cost_won}/{pairs}, worker BLAS "
+        f"threads {blas_threads})"
     )
     if cpus >= 2:
         assert speedup >= 1.3, (
@@ -484,9 +508,8 @@ def main(argv=None):
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI quick mode: the cost-aware scheduler benchmark only, "
-        "reduced batch, single repeat; writes to a scratch file unless "
-        "--output is given",
+        help="CI quick mode: the cost-aware scheduler benchmark only; "
+        "writes to a scratch file unless --output is given",
     )
     parser.add_argument(
         "--output",
@@ -501,7 +524,7 @@ def main(argv=None):
         OUTPUT = args.output or (
             Path(tempfile.gettempdir()) / "BENCH_service.smoke.json"
         )
-        test_bench_cost_aware_vs_count_heterogeneous(smoke=True)
+        test_bench_cost_aware_vs_count_heterogeneous()
         print(f"smoke ok; results in {OUTPUT}")
         return
     if args.output is not None:

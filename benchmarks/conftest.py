@@ -3,8 +3,8 @@
 Every paper table/figure has a ``bench_*`` module here.  Benchmarks run
 the experiment drivers in ``quick`` mode (reduced optimizer iterations
 and shots) so the whole suite finishes in minutes; the paper-faithful
-numbers in EXPERIMENTS.md come from ``python -m repro.experiments <name>``
-with default settings.
+numbers come from ``python -m repro.experiments <name>`` with default
+settings, and perfbench/README.md describes the timed end-to-end runs.
 """
 
 import pytest

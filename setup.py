@@ -1,10 +1,10 @@
-"""Setuptools shim.
+"""Setuptools shim for tools that still invoke ``setup.py``.
 
-The execution environment has no network access and no ``wheel`` package,
-so PEP 517 editable installs (which build a wheel) fail.  This shim lets
-``pip install -e . --no-build-isolation --no-use-pep517`` (and plain
-``pip install -e .`` on environments with wheel) perform a legacy editable
-install.  All metadata lives in pyproject.toml.
+All metadata lives in pyproject.toml.  ``pip install -e ".[test]"``
+installs the package with its test extra; offline,
+``pip install -e . --no-build-isolation --no-deps`` works wherever
+setuptools >= 61 and ``wheel`` are importable (setuptools < 70.1 builds
+even editable installs through ``bdist_wheel``).
 """
 
 from setuptools import setup

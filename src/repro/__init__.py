@@ -4,8 +4,8 @@ A from-scratch reproduction of Liang et al., "Hybrid Gate-Pulse Model for
 Variational Quantum Algorithms" (DAC 2023), including the gate-level and
 pulse-level substrates it depends on.
 
-The most commonly used names are re-exported here; see DESIGN.md for the
-full subsystem map.
+The most commonly used names are re-exported here; the subpackages
+(``repro.core``, ``repro.backends``, ``repro.service``, ...) hold the rest.
 
 Logging: every module logs under the ``repro`` root logger
 (``repro.service``, ``repro.telemetry``, ...), which carries a

@@ -1,7 +1,7 @@
 """Fake backends mimicking the paper's four IBM machines (Table I).
 
 Calibration numbers are verbatim from the paper; the T1/T2 column is
-interpreted as microseconds (see DESIGN.md).  Quantities the paper does
+interpreted as microseconds.  Quantities the paper does
 not report (CX durations, coupling topologies, coherent-error magnitudes)
 use standard values for the corresponding IBM Falcon processors and are
 documented here as reproduction assumptions.

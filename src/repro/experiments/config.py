@@ -13,9 +13,10 @@ class ExperimentConfig:
 
     ``quick`` trades statistical quality for speed (fewer optimizer
     iterations and shots) so the benchmark suite can exercise every
-    driver in seconds; headline numbers in EXPERIMENTS.md come from the
-    default (paper-faithful) settings: COBYLA maxiter 50 (200 for the
-    pulse-level model), 1024 shots, CVaR alpha 0.3, fixed qubit mapping.
+    driver in seconds; the default settings are the paper-faithful
+    ones: COBYLA maxiter 50 (200 for the pulse-level model), 1024 shots,
+    CVaR alpha 0.3, fixed qubit mapping.  perfbench/README.md describes
+    the timed quick-mode workloads.
     """
 
     shots: int = 1024

@@ -9,12 +9,12 @@ service::
         counts = future.result().counts
     service.shutdown()
 
-* ``jobs=1`` (the default) executes inline — no processes, no pickling,
-  identical code path to ``backend.run``; every deployment has this
-  graceful single-process fallback.
+* ``jobs=1`` (the default) executes in-process — no processes, no
+  pickling; every deployment has this graceful single-process fallback.
 * ``jobs=N`` fans shards out to a ``ProcessPoolExecutor`` whose workers
-  build the backend once per process and warm the propagator /
-  calibration caches (see ``scheduler.py``).
+  build the backend once per process, pin their BLAS to an even share
+  of the CPUs and warm the propagator / calibration caches (see
+  ``scheduler.py``).
 * Batches are planned into contiguous shards by **predicted
   wall-clock** by default (``shard_planner="cost"``): each job is
   priced through the registry work-unit models — scaled by a fitted
@@ -31,22 +31,14 @@ service::
 * An optional :class:`~repro.service.store.ResultStore` serves repeated
   deterministic jobs from disk without touching a worker.
 
-**Failure semantics** (SERVICE.md "Failure semantics"): shard failures
-are classified through
-:func:`~repro.backends.engine.classify_error` — transient ones retry
-with exponential backoff up to ``retries`` times, a dead pool
-(``BrokenProcessPool``) is rebuilt and its outstanding shards
-resubmitted (falling back to inline execution after
-``max_pool_rebuilds`` pool losses), hung shards are timed out
-(``shard_timeout``) and their workers reclaimed, and a job that keeps
-failing is bisected out of its shard and quarantined alone
-(:class:`~repro.exceptions.QuarantineError`) while the rest of the
-batch completes.  Deterministic jobs checkpoint into the store as each
-shard completes, so a killed batch re-submitted with the same jobs
-resumes from store hits and executes only the missing tail.  Every
-retry re-runs the same :class:`CircuitJob` with its already-resolved
-seed, so ``jobs=1`` vs ``jobs=N`` byte-identity survives every failure
-mode; the recovery counters surface in
+**One dispatcher** (SERVICE.md "Failure semantics"): every entry point
+executes through :meth:`_run_units` — ``submit()`` by way of a
+service-owned dispatcher thread, ``jobs=1`` on an in-process executor.
+It retries transient failures with backoff, rebuilds dead pools, times
+out hung shards, bisects and quarantines poison jobs and checkpoints
+each finished job.  Retries re-run the same already-seeded
+:class:`CircuitJob`, so ``jobs=1`` vs ``jobs=N`` byte-identity survives
+every failure mode; the counters surface in
 ``result.metadata["service"]["faults"]``.
 """
 
@@ -81,12 +73,12 @@ from repro.service.jobs import (
 from repro.service.scheduler import (
     DEFAULT_SHARDS_PER_WORKER,
     ShardResult,
+    _execute_indexed,
     _initialize_worker,
     _run_shard,
     estimate_job_seconds,
     plan_shards,
     plan_shards_weighted,
-    run_job_on_backend,
     worker_backend_spec,
 )
 from repro.service.store import ResultStore
@@ -188,8 +180,14 @@ class ExecutionService:
             else None
         )
         self._lock = threading.Lock()
+        #: (job, future) pairs queued by submit() for the dispatcher,
+        #: and the future submit() completes to wake its running loop
+        self._submitted: list[tuple[CircuitJob, Future]] = []
+        self._arrival: Future = Future()
+        self._dispatcher: threading.Thread | None = None
         self._pending = 0
-        self._closed = False
+        self._closing = False  # submit() refuses work
+        self._closed = False  # nothing may dispatch
         self._backend_key: str | None = None
         self._store_degraded = False
         self._stats = {
@@ -251,27 +249,31 @@ class ExecutionService:
     def _ensure_executor(self, warm_job=None) -> ProcessPoolExecutor:
         if self._closed:
             raise BackendError("service is shut down")
-        if self._executor is None:
-            warm_blob = (
-                pickle.dumps((warm_job.circuit, warm_job.method))
-                if (self.warm and warm_job is not None)
-                else None
-            )
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=self._mp_context,
-                initializer=_initialize_worker,
-                # the budget snapshot keeps worker-side "auto"
-                # resolution identical to the parent's even after
-                # set_method_qubit_budget calls or spawn start methods
-                initargs=(
-                    worker_backend_spec(self.backend),
-                    warm_blob,
-                    method_qubit_budgets(),
-                    self.fault_policy,
-                ),
-            )
-        return self._executor
+        # locked: submit()'s dispatcher thread and a caller's run_jobs
+        # may both need the pool
+        with self._lock:
+            if self._executor is None:
+                warm_blob = (
+                    pickle.dumps((warm_job.circuit, warm_job.method))
+                    if (self.warm and warm_job is not None)
+                    else None
+                )
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=self._mp_context,
+                    initializer=_initialize_worker,
+                    # the budget snapshot keeps worker-side "auto"
+                    # resolution identical to the parent's even after
+                    # set_method_qubit_budget calls or spawn start methods
+                    initargs=(
+                        worker_backend_spec(self.backend),
+                        warm_blob,
+                        method_qubit_budgets(),
+                        self.fault_policy,
+                        self.workers,
+                    ),
+                )
+            return self._executor
 
     def _rebuild_pool(self, kill: bool = False) -> None:
         """Discard the worker pool; the next dispatch builds a fresh one.
@@ -312,11 +314,24 @@ class ExecutionService:
         return self
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the worker pool; the service cannot be reused after."""
+        """Stop the worker pool; the service cannot be reused after.
+
+        New work is refused at once, but every job already submitted
+        still runs, retries included: ``wait=True`` waits for them;
+        ``wait=False`` returns and the dispatcher closes the pool last.
+        """
+        with self._lock:
+            self._closing = True
+            dispatcher = self._dispatcher
+        if dispatcher not in (None, threading.current_thread()):
+            if not wait:
+                return
+            dispatcher.join()
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=wait)
-            self._executor = None
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=wait)
 
     def __enter__(self) -> "ExecutionService":
         return self
@@ -336,6 +351,10 @@ class ExecutionService:
     # bookkeeping
     # ------------------------------------------------------------------
     def _job_started(self, count: int = 1) -> None:
+        """Take ``count`` backpressure slots (blocking) and count them."""
+        if self._pending_slots is not None:
+            for _ in range(count):
+                self._pending_slots.acquire()
         with self._lock:
             self._pending += count
             self._stats["max_pending_seen"] = max(
@@ -349,14 +368,7 @@ class ExecutionService:
             for _ in range(count):
                 self._pending_slots.release()
 
-    def _acquire_slots(self, count: int = 1) -> None:
-        if self._pending_slots is not None:
-            for _ in range(count):
-                self._pending_slots.acquire()
-
-    def _absorb_shard(
-        self, shard: ShardResult, dispatched_at: float | None = None
-    ) -> None:
+    def _absorb_shard(self, shard: ShardResult, dispatched_at: float) -> None:
         with self._lock:
             self._stats["jobs_run"] += shard.jobs_run
             merged = dict(
@@ -372,11 +384,13 @@ class ExecutionService:
             if shard.warm_error is not None:
                 # the worker runs cold; say why instead of just "slow"
                 merged["warm_error"] = shard.warm_error
+            if shard.blas_threads is not None:
+                merged["blas_threads"] = shard.blas_threads
             self._stats["per_worker"][shard.worker_pid] = merged
         self._absorb_shard_telemetry(shard, dispatched_at)
 
     def _absorb_shard_telemetry(
-        self, shard: ShardResult, dispatched_at: float | None
+        self, shard: ShardResult, dispatched_at: float
     ) -> None:
         """Fold one shard's telemetry payloads into the parent process.
 
@@ -390,7 +404,7 @@ class ExecutionService:
         telemetry_metrics.merge_snapshot(shard.metrics)
         telemetry_records.write_records(shard.records)
         queue_wait = None
-        if dispatched_at is not None and shard.started_at:
+        if shard.started_at:  # 0.0 for in-process shards
             queue_wait = max(0.0, shard.started_at - dispatched_at)
             telemetry_metrics.observe(
                 "service.queue_wait_seconds", queue_wait
@@ -423,14 +437,6 @@ class ExecutionService:
                 shard.warm_info.get("wall_seconds", 0.0)
             )
             dispatch_span.children.insert(0, warm)
-
-    @staticmethod
-    def _telemetry_flags() -> tuple[bool, bool]:
-        """The (tracing, recording) state a shard dispatch should mirror."""
-        return (
-            telemetry_spans.tracing_enabled(),
-            telemetry_records.recording_enabled(),
-        )
 
     def _note_fault(self, faults: dict, key: str, count: int = 1) -> None:
         """Count one fault event in the batch dict and service totals."""
@@ -480,8 +486,6 @@ class ExecutionService:
         )
         if self.store is not None:
             out["store"] = self.store.stats()
-        if not self.parallel:
-            out["per_worker"] = {"inline": cache_stats_totals()}
         out["metrics"] = telemetry_metrics.metrics_snapshot()
         return out
 
@@ -574,47 +578,6 @@ class ExecutionService:
                 self._stats["store_misses"] += 1
         return key, experiment
 
-    def _run_inline(self, job: CircuitJob):
-        return run_job_on_backend(self.backend, job)
-
-    def _execute_inline_with_retry(
-        self, unit_index: int, job: CircuitJob, faults: dict
-    ) -> tuple:
-        """Run one job in this process, retrying transient failures.
-
-        Returns ``(experiment, None, attempts_made)`` on success or
-        ``(None, exc, attempts_made)`` once the failure is permanent or
-        the retry budget is exhausted.  Fault injection applies with
-        ``allow_kill=False`` — killing the caller's own process is
-        never acceptable chaos.
-        """
-        attempt = 0
-        while True:
-            try:
-                if self.fault_policy is not None:
-                    self.fault_policy.apply(
-                        "job",
-                        unit_index,
-                        attempt,
-                        tag=job.tag,
-                        allow_kill=False,
-                    )
-                experiment = self._run_inline(job)
-            except Exception as exc:
-                self._note_fault(faults, "transient_errors")
-                if (
-                    classify_error(exc) == "permanent"
-                    or attempt >= self.retries
-                ):
-                    return None, exc, attempt + 1
-                attempt += 1
-                self._note_fault(faults, "retries")
-                time.sleep(self._backoff_seconds(attempt, unit_index))
-            else:
-                with self._lock:
-                    self._stats["jobs_run"] += 1
-                return experiment, None, attempt + 1
-
     def _trajectory_subjobs(
         self, job: CircuitJob
     ) -> list[CircuitJob] | None:
@@ -625,9 +588,10 @@ class ExecutionService:
         the whole range on one worker.  Adaptive jobs
         (``trajectories="auto"`` / ``target_error=``) never fan out:
         their total trajectory count is only known once the run
-        converges, so they execute as one unit.
+        converges, so they execute as one unit.  In-process services
+        never fan out either: there is no second worker to share with.
         """
-        if job.trajectory_slice is not None:
+        if not self.parallel or job.trajectory_slice is not None:
             return None
         if isinstance(job.trajectories, str) or job.target_error is not None:
             return None
@@ -640,9 +604,6 @@ class ExecutionService:
         )
         if total < 2:
             return None
-        # honor the service's configured oversubscription factor — this
-        # was once hardcoded to 2, which quietly ignored the caller's
-        # shards_per_worker for trajectory fan-out
         slices = plan_shards(
             total, self.workers, shards_per_worker=self.shards_per_worker
         )
@@ -664,111 +625,85 @@ class ExecutionService:
     def submit(self, job: CircuitJob) -> Future:
         """Schedule one job; returns a future of its ExperimentResult.
 
-        Blocks while ``max_pending`` jobs are already in flight — the
-        backpressure contract callers rely on instead of an unbounded
-        submission queue.  Transient failures retry (rebuilding the
-        pool if it broke) before the future resolves; only a permanent
-        failure or an exhausted retry budget reaches the caller.
+        Blocks while ``max_pending`` jobs are already in flight (the
+        backpressure contract), then queues the job for the dispatcher
+        thread's :meth:`_run_units` loop.  The future resolves as soon
+        as the job finishes, with the result or with the exception that
+        quarantined it.
         """
-        if self._closed:
-            raise BackendError("service is shut down")
         if not isinstance(job, CircuitJob):
             raise BackendError(f"submit expects a CircuitJob, got {job!r}")
-        with self._lock:
-            self._stats["jobs_submitted"] += 1
-        key, stored = self._store_lookup(job)
-        if stored is not None:
-            future: Future = Future()
-            future.set_result(stored)
-            return future
-        self._acquire_slots()
         self._job_started()
-        if not self.parallel:
-            future = Future()
-            faults = self._fresh_fault_counters()
-            try:
-                experiment, exc, _ = self._execute_inline_with_retry(
-                    0, job, faults
-                )
-                if exc is not None:
-                    future.set_exception(exc)
-                else:
-                    self._store_put(key, experiment)
-                    future.set_result(experiment)
-            except BaseException as exc:  # propagate through the future
-                future.set_exception(exc)
-            finally:
-                self._job_finished()
-            return future
-        future = Future()
-        try:
-            self._submit_pooled(job, key, future, attempt=0)
-        except BaseException:
+        future: Future = Future()
+        with self._lock:
+            accepted = not self._closing
+            if accepted:
+                self._submitted.append((job, future))
+                if self._dispatcher is None:
+                    # started under the lock, so shutdown() never misses
+                    # it; it exits once the queue drains
+                    self._dispatcher = threading.Thread(
+                        target=self._dispatch_submitted,
+                        name="repro-service-dispatch",
+                        daemon=True,
+                    )
+                    self._dispatcher.start()
+                elif not self._arrival.done():
+                    self._arrival.set_result(None)  # wake the loop
+        if not accepted:
             self._job_finished()
-            raise
+            raise BackendError("service is shut down")
         return future
 
-    def _submit_pooled(
-        self, job: CircuitJob, key: str | None, future: Future, attempt: int
-    ) -> None:
-        """Dispatch one pooled attempt of ``job``; retries via callback.
+    def _dispatch_submitted(self) -> None:
+        """Dispatcher thread: stream submit()'s jobs through the loop;
+        each future resolves as soon as its job does."""
+        futures: list[Future | None] = []
 
-        Owns exactly one backpressure slot across all attempts: the
-        slot is released when ``future`` finally resolves (success,
-        permanent failure, or exhausted retries), never between
-        retries.
-        """
-        executor = self._ensure_executor(warm_job=job)
-        with self._lock:
-            self._stats["shards_dispatched"] += 1
-        dispatched_at = time.time()
-        shard_future = executor.submit(
-            _run_shard,
-            [(0, job, attempt)],
-            method_qubit_budgets(),
-            self.fault_policy,
-            self._telemetry_flags(),
-        )
+        def intake() -> tuple[list[CircuitJob], Future]:
+            with self._lock:
+                arrivals, self._submitted = self._submitted, []
+                self._arrival = Future()
+                wake = self._arrival
+            taken = []
+            for job, future in arrivals:
+                # a running future can no longer be cancelled under us
+                if future.set_running_or_notify_cancel():
+                    futures.append(future)
+                    taken.append(job)
+                else:
+                    self._job_finished()  # cancelled while queued
+            return taken, wake
 
-        def _resolve(done: Future) -> None:
-            try:
-                shard: ShardResult = done.result()
-                self._absorb_shard(shard, dispatched_at)
-                experiment = shard.experiments[0][1]
-                self._store_put(key, experiment)
-            except BaseException as exc:
-                if (
-                    isinstance(exc, Exception)
-                    and classify_error(exc) == "transient"
-                    and attempt < self.retries
-                    and not self._closed
-                ):
-                    faults = self._fresh_fault_counters()
-                    self._note_fault(faults, "transient_errors")
-                    self._note_fault(faults, "retries")
-                    if isinstance(exc, BrokenExecutor):
-                        self._note_fault(faults, "pool_rebuilds")
-                        self._rebuild_pool()
-                    time.sleep(self._backoff_seconds(attempt + 1, 0))
-                    try:
-                        self._submit_pooled(job, key, future, attempt + 1)
-                    except BaseException as redispatch_exc:
-                        future.set_exception(redispatch_exc)
-                        self._job_finished()
-                    return
-                # includes store-write failures: the caller's future must
-                # always resolve, never hang
-                future.set_exception(exc)
-                self._job_finished()
+        def resolve(index: int, outcome) -> None:
+            future, futures[index] = futures[index], None
+            self._job_finished()
+            if isinstance(outcome, BaseException):
+                future.set_exception(outcome)
             else:
-                future.set_result(experiment)
-                self._job_finished()
+                future.set_result(outcome)
 
-        shard_future.add_done_callback(_resolve)
-
-    @staticmethod
-    def _fresh_fault_counters() -> dict:
-        return {key: 0 for key in _FAULT_COUNTERS}
+        try:
+            while True:
+                futures.clear()
+                try:
+                    self._run_jobs([], resolve, False, intake)
+                except Exception as exc:  # e.g. pool closed under us
+                    intake()
+                    for index, future in enumerate(futures):
+                        if future is not None:
+                            resolve(index, exc)
+                with self._lock:
+                    if not self._submitted:
+                        self._dispatcher = None
+                        closing = self._closing
+                        break
+        finally:
+            with self._lock:
+                if self._dispatcher is threading.current_thread():
+                    self._dispatcher = None
+        if closing:  # shut down meanwhile: close the pool behind us
+            self.shutdown()
 
     def map(
         self, jobs: SweepJob | Sequence[CircuitJob]
@@ -781,7 +716,6 @@ class ExecutionService:
         """
         if isinstance(jobs, SweepJob):
             jobs = jobs.jobs()
-        jobs = list(jobs)
         experiments, _meta = self.run_jobs(jobs)
         return experiments
 
@@ -804,153 +738,117 @@ class ExecutionService:
         their :class:`JobFailure` records instead and no error is
         raised.
         """
-        if self._closed:
+        if self._closing:
             raise BackendError("service is shut down")
         jobs = list(jobs)
+        results: list = [None] * len(jobs)
+
+        def keep(index: int, outcome) -> None:
+            if not isinstance(outcome, BaseException):
+                results[index] = outcome
+
+        meta, failures = self._run_jobs(jobs, keep)
+        ordered = [failures[index] for index in sorted(failures)]
+        if not ordered:
+            return results, meta
+        if return_exceptions:
+            for failure in ordered:
+                results[failure.index] = failure
+            return results, meta
+        survivors = len(jobs) - len(ordered)
+        checkpointed = self.store is not None and not self._store_degraded
+        error = QuarantineError(
+            f"{len(ordered)} of {len(jobs)} jobs quarantined after retries "
+            f"({survivors} completed"
+            + (" and checkpointed to the store" if checkpointed else "")
+            + "): "
+            + "; ".join(
+                f"#{f.index} {f.description}: {f.error}" for f in ordered[:3]
+            )
+            + ("; ..." if len(ordered) > 3 else ""),
+            failures=ordered,
+        )
+        error.service_meta = meta
+        raise error
+
+    def _run_jobs(
+        self,
+        jobs: list[CircuitJob],
+        on_done,
+        acquire_slots: bool = True,
+        intake=None,
+    ) -> tuple[dict, dict[int, JobFailure]]:
+        """Run ``jobs`` through :meth:`_run_units`; ``(meta, failures)``.
+        submit()'s dispatcher passes an ``intake`` and
+        ``acquire_slots=False``: submit() already holds the slots."""
         with telemetry_spans.span(
             "service.run_jobs", jobs=len(jobs), workers=self.workers
         ):
-            return self._run_jobs_inner(jobs, return_exceptions)
-
-    def _run_jobs_inner(
-        self, jobs: list, return_exceptions: bool
-    ) -> tuple[list, dict]:
-        with self._lock:
-            self._stats["jobs_submitted"] += len(jobs)
-        start = time.perf_counter()
-        results: list = [None] * len(jobs)
-        keys: list[str | None] = [None] * len(jobs)
-        missing: list[int] = []
-        for index, job in enumerate(jobs):
-            key, stored = self._store_lookup(job)
-            keys[index] = key
-            if stored is not None:
-                results[index] = stored
-            else:
-                missing.append(index)
-        store_hits = len(jobs) - len(missing)
-
-        faults = self._fresh_fault_counters()
-        faults["inline_fallback"] = False
-        failures: dict[int, JobFailure] = {}
-        shard_count = 0
-        subjob_count = 0
-        scheduler_meta = {"planner": "inline", "calibrated": False}
-        if missing and not self.parallel:
-            for index in missing:
-                experiment, exc, attempts_made = (
-                    self._execute_inline_with_retry(
-                        index, jobs[index], faults
-                    )
-                )
-                if exc is not None:
-                    failures[index] = JobFailure.from_exception(
-                        index, jobs[index], exc, attempts_made
-                    )
-                    with self._lock:
-                        self._stats["quarantined"] += 1
-                    telemetry_metrics.inc("service.quarantines")
-                    telemetry_spans.record_span(
-                        "service.quarantine", index=index
-                    )
-                    continue
-                results[index] = experiment
-                self._store_put(keys[index], experiment)
-        elif missing:
-            # expand trajectory jobs into slice sub-jobs so a single
-            # big trajectory circuit still saturates the pool; a *unit*
-            # is whatever one worker executes in one piece
-            units: list[CircuitJob] = []
-            owner: list[int] = []
-            for index in missing:
-                sub_jobs = self._trajectory_subjobs(jobs[index])
-                if sub_jobs is None:
-                    units.append(jobs[index])
-                    owner.append(index)
-                else:
-                    units.extend(sub_jobs)
-                    owner.extend([index] * len(sub_jobs))
-                    subjob_count += len(sub_jobs)
-            shard_count, scheduler_meta = self._run_units_pooled(
-                units, owner, jobs, keys, results, faults, failures
+            start = time.perf_counter()
+            faults = dict.fromkeys(_FAULT_COUNTERS, 0)
+            faults["inline_fallback"] = False
+            failures: dict[int, JobFailure] = {}
+            tally, scheduler_meta = self._run_units(
+                jobs, faults, failures, acquire_slots, on_done, intake
             )
-        meta = {
-            "jobs": len(jobs),
-            "workers": self.workers if missing else 0,
-            "shards": shard_count,
-            "scheduler": scheduler_meta,
-            "trajectory_subjobs": subjob_count,
-            "store_hits": store_hits,
-            "wall_seconds": round(time.perf_counter() - start, 6),
-            "per_worker": self.stats()["per_worker"],
-            "faults": {
-                **{key: faults[key] for key in _FAULT_COUNTERS},
-                "inline_fallback": faults["inline_fallback"],
-                "quarantined": [
-                    failures[index].as_dict() for index in sorted(failures)
-                ],
-            },
-        }
-        if self.store is not None:
-            meta["store_degraded"] = self._store_degraded
-        if telemetry_records.recording_enabled():
-            telemetry_records.record(
-                "batch",
-                jobs=len(jobs),
-                workers=meta["workers"],
-                shards=shard_count,
-                trajectory_subjobs=subjob_count,
-                store_hits=store_hits,
-                quarantined=len(failures),
-                wall_seconds=meta["wall_seconds"],
-                faults={key: faults[key] for key in _FAULT_COUNTERS},
-            )
-        if failures:
-            ordered = [failures[index] for index in sorted(failures)]
-            if return_exceptions:
-                for index, failure in failures.items():
-                    results[index] = failure
-            else:
-                survivors = len(jobs) - len(failures)
-                error = QuarantineError(
-                    f"{len(failures)} of {len(jobs)} jobs quarantined "
-                    f"after retries ({survivors} completed"
-                    + (
-                        " and checkpointed to the store"
-                        if self.store is not None
-                        and not self._store_degraded
-                        else ""
-                    )
-                    + "): "
-                    + "; ".join(
-                        f"#{f.index} {f.description}: {f.error}"
-                        for f in ordered[:3]
-                    )
-                    + ("; ..." if len(ordered) > 3 else ""),
-                    failures=ordered,
+            fault_counts = {key: faults[key] for key in _FAULT_COUNTERS}
+            meta = {
+                "jobs": tally["jobs"],
+                "workers": self.workers if tally["shards"] else 0,
+                "shards": tally["shards"],
+                "scheduler": scheduler_meta,
+                "trajectory_subjobs": tally["trajectory_subjobs"],
+                "store_hits": tally["store_hits"],
+                "wall_seconds": round(time.perf_counter() - start, 6),
+                "per_worker": self.stats()["per_worker"],
+                "faults": {
+                    **fault_counts,
+                    "inline_fallback": faults["inline_fallback"],
+                    "quarantined": [
+                        failures[index].as_dict() for index in sorted(failures)
+                    ],
+                },
+            }
+            if self.store is not None:
+                meta["store_degraded"] = self._store_degraded
+            if telemetry_records.recording_enabled():
+                telemetry_records.record(
+                    "batch",
+                    jobs=tally["jobs"],
+                    workers=meta["workers"],
+                    shards=tally["shards"],
+                    trajectory_subjobs=tally["trajectory_subjobs"],
+                    store_hits=tally["store_hits"],
+                    quarantined=len(failures),
+                    wall_seconds=meta["wall_seconds"],
+                    faults=fault_counts,
                 )
-                error.service_meta = meta
-                raise error
-        return results, meta
+            return meta, failures
 
     def _plan_unit_shards(
-        self, units: list[CircuitJob]
-    ) -> tuple[list[list[int]], list[float] | None, dict]:
-        """Plan contiguous unit shards; ``(queue, weights, meta)``.
+        self, units: list[CircuitJob], first: int
+    ) -> tuple[list[list[int]], dict, object]:
+        """Plan ``units`` (numbered from ``first``) into contiguous shards.
 
-        With ``shard_planner="cost"`` every unit is priced through
+        In-process, every unit is its own shard: no IPC to amortize, no
+        worker to balance, and each job retries on its own.  With
+        ``shard_planner="cost"`` every unit is priced through
         :func:`~repro.service.scheduler.estimate_job_seconds` and the
         cut points balance predicted work; the installed calibration is
         used only when it covers **every** distinct method in the batch
         — mixing fitted seconds for one method with unitless shipped
         weights for another would make the relative weights garbage.
         Any unpriceable unit (a plugin method without a work-unit
-        model) drops the whole batch back to count-based planning, as
-        does ``shard_planner="count"``.  ``weights`` is ``None``
-        whenever the count planner was used.
+        model) drops the batch back to count-based planning.  No shard
+        exceeds ``max_pending``.  Returns the shards, the plan metadata
+        and its ``scheduler.plan`` span.
         """
+        weights = None
         meta = {"planner": "count", "calibrated": False}
-        if self.shard_planner == "cost":
+        if not self.parallel:
+            queue = [[unit] for unit in range(len(units))]
+            meta["planner"] = "inline"
+        elif self.shard_planner == "cost":
             try:
                 methods = [self._resolve_method(unit) for unit in units]
                 calibration = self.calibration
@@ -964,91 +862,25 @@ class ExecutionService:
                     for unit, method in zip(units, methods)
                 ]
             except Exception:
-                weights = [None]
-            if all(weight is not None for weight in weights):
-                queue = plan_shards_weighted(
-                    weights,
-                    self.workers,
-                    shards_per_worker=self.shards_per_worker,
-                    min_shard_size=1,
-                )
-                meta = {
-                    "planner": "cost",
-                    "calibrated": calibration is not None,
-                }
-                return queue, weights, meta
-        queue = plan_shards(
-            len(units),
-            self.workers,
-            shards_per_worker=self.shards_per_worker,
-            min_shard_size=1,
-        )
-        return queue, None, meta
-
-    def _run_units_pooled(
-        self,
-        units: list[CircuitJob],
-        owner: list[int],
-        jobs: Sequence[CircuitJob],
-        keys: list[str | None],
-        results: list,
-        faults: dict,
-        failures: dict[int, JobFailure],
-    ) -> tuple[int, dict]:
-        """Drive ``units`` through the pool with retry and recovery.
-
-        Round-based: dispatch every queued shard, collect outcomes
-        (bounded by ``shard_timeout``), then requeue failures — whole
-        on their first transient failure, bisected afterwards so a
-        poison job is narrowed down and quarantined alone.  A broken
-        pool is rebuilt between rounds; after ``max_pool_rebuilds``
-        broken-pool events the remaining units degrade to inline
-        execution.  Completed owners checkpoint to the store
-        immediately, not at batch end.  Returns the shard dispatch
-        count and the scheduler metadata (planner used, predicted vs.
-        actual per-shard seconds, imbalance).
-        """
-        owner_units: dict[int, list[int]] = {}
-        for pos, own in enumerate(owner):
-            owner_units.setdefault(own, []).append(pos)
-        owner_remaining = {
-            own: len(members) for own, members in owner_units.items()
-        }
-        unit_results: list = [None] * len(units)
-        attempts = [0] * len(units)
-        broken_events = 0
-        shard_count = 0
-        inline_rest = False
-
-        def complete_unit(unit: int, experiment) -> None:
-            if unit_results[unit] is not None:
-                return  # late result of a timed-out attempt already redone
-            unit_results[unit] = experiment
-            own = owner[unit]
-            owner_remaining[own] -= 1
-            if owner_remaining[own] == 0:
-                # stitch sub-job slices back into the whole-job result
-                # and checkpoint it NOW — a later crash must not lose it
-                parts = [unit_results[p] for p in owner_units[own]]
-                results[own] = merge_trajectory_results(parts)
-                self._store_put(keys[own], results[own])
-
-        def quarantine(unit: int, exc: BaseException) -> None:
-            own = owner[unit]
-            if own in failures:
-                return
-            failures[own] = JobFailure.from_exception(
-                own, jobs[own], exc, attempts[unit]
+                weights = None
+            if weights is not None and None in weights:
+                weights = None
+        if weights is not None:
+            queue = plan_shards_weighted(
+                weights,
+                self.workers,
+                shards_per_worker=self.shards_per_worker,
+                min_shard_size=1,
             )
-            with self._lock:
-                self._stats["quarantined"] += 1
-            telemetry_metrics.inc("service.quarantines")
-            telemetry_spans.record_span("service.quarantine", index=own)
-
-        queue, weights, scheduler_meta = self._plan_unit_shards(units)
+            meta = {"planner": "cost", "calibrated": calibration is not None}
+        elif self.parallel:
+            queue = plan_shards(
+                len(units),
+                self.workers,
+                shards_per_worker=self.shards_per_worker,
+                min_shard_size=1,
+            )
         if self._max_pending is not None:
-            # backpressure bound: no shard may need more in-flight
-            # slots than the bound allows
             queue = [
                 shard[pos : pos + self._max_pending]
                 for shard in queue
@@ -1061,216 +893,313 @@ class ExecutionService:
             predicted = [
                 round(sum(weights[u] for u in shard), 6) for shard in queue
             ]
-            scheduler_meta["predicted_shard_seconds"] = predicted
-        scheduler_meta["shards_planned"] = len(queue)
-        plan_span = telemetry_spans.record_span(
+            meta["predicted_shard_seconds"] = predicted
+        meta["shards_planned"] = len(queue)
+        span = telemetry_spans.record_span(
             "scheduler.plan",
-            planner=scheduler_meta["planner"],
-            calibrated=scheduler_meta["calibrated"],
+            planner=meta["planner"],
+            calibrated=meta["calibrated"],
             shards=len(queue),
             units=len(units),
             predicted_seconds=predicted,
         )
-        shard_walls: list[float] = []
+        return [[first + u for u in shard] for shard in queue], meta, span
 
-        while queue:
+    def _run_units(
+        self,
+        jobs: list[CircuitJob],
+        faults: dict,
+        failures: dict[int, JobFailure],
+        acquire_slots: bool,
+        on_done,
+        intake=None,
+    ) -> tuple[dict, dict]:
+        """Drive ``jobs`` to completion: the service's one recovery loop.
+
+        Jobs not in the store become *units* (trajectory jobs fan out
+        into slices), planned into shards and dispatched; outcomes are
+        collected as shards finish, bounded by ``shard_timeout``.  A
+        failed shard is requeued whole, then bisected, so a poison job
+        is quarantined alone.  Once anything failed, the shards in
+        flight finish, a broken pool is rebuilt (hung workers killed)
+        and the failures rerun after a backoff; past
+        ``max_pool_rebuilds`` the in-process executor of ``jobs=1``
+        takes over.  ``on_done(index, outcome)`` gets each job's result
+        or quarantining exception as soon as it is known (and
+        checkpointed).  ``intake()`` returns ``(new_jobs, wake)``: new
+        jobs join while no failure awaits recovery; ``wake`` completes
+        when more arrive.  Returns the batch tally and the first plan's
+        scheduler metadata.
+        """
+        admitted: list = []
+        keys: list[str | None] = []
+        units: list = []
+        owner: list[int] = []
+        attempts: list[int] = []
+        unit_results: list = []
+        owner_units: dict[int, list[int]] = {}
+        tally = dict.fromkeys(
+            ("jobs", "shards", "store_hits", "trajectory_subjobs"), 0
+        )
+        scheduler_meta = {"planner": "inline", "calibrated": False}
+        plan_span = None
+        shard_walls: list[float] = []
+        broken_events = 0
+        inline = not self.parallel
+
+        def settle(own: int, outcome) -> None:
+            on_done(own, outcome)
+            admitted[own] = None  # drop what a long stream would pile up
+            for unit in owner_units.get(own, ()):
+                units[unit] = unit_results[unit] = None
+
+        def admit(new_jobs) -> list[list[int]]:
+            """Serve store hits; plan the other jobs' units into shards."""
+            nonlocal scheduler_meta, plan_span
+            with self._lock:
+                self._stats["jobs_submitted"] += len(new_jobs)
+            tally["jobs"] += len(new_jobs)
+            first = len(units)
+            for job in new_jobs:
+                own = len(admitted)
+                admitted.append(job)
+                key, stored = self._store_lookup(job)
+                keys.append(key)
+                if stored is not None:
+                    tally["store_hits"] += 1
+                    settle(own, stored)
+                    continue
+                # trajectory jobs fan out into slice sub-jobs so a single
+                # big trajectory circuit still saturates the pool; a
+                # *unit* is whatever one worker executes in one piece
+                parts = self._trajectory_subjobs(job)
+                if parts is None:
+                    parts = [job]
+                else:
+                    tally["trajectory_subjobs"] += len(parts)
+                owner_units[own] = list(
+                    range(len(units), len(units) + len(parts))
+                )
+                units.extend(parts)
+                owner.extend([own] * len(parts))
+            fresh = len(units) - first
+            attempts.extend([0] * fresh)
+            unit_results.extend([None] * fresh)
+            if not fresh:
+                return []
+            queue, meta, span = self._plan_unit_shards(units[first:], first)
+            if first == 0:
+                scheduler_meta, plan_span = meta, span
+            return queue
+
+        def complete_unit(unit: int, experiment) -> None:
+            unit_results[unit] = experiment
+            own = owner[unit]
+            parts = [unit_results[p] for p in owner_units[own]]
+            if all(part is not None for part in parts):
+                # stitch sub-job slices back into the whole-job result
+                # and checkpoint it NOW — a later crash must not lose it
+                merged = merge_trajectory_results(parts)
+                self._store_put(keys[own], merged)
+                settle(own, merged)
+
+        def quarantine(unit: int, exc: BaseException) -> None:
+            own = owner[unit]
+            if own in failures:
+                return
+            failures[own] = JobFailure.from_exception(
+                own, admitted[own], exc, attempts[unit]
+            )
+            with self._lock:
+                self._stats["quarantined"] += 1
+            telemetry_metrics.inc("service.quarantines")
+            telemetry_spans.record_span("service.quarantine", index=own)
+            settle(own, exc)
+
+        def fail_shard(
+            shard: list[int], exc: BaseException, permanent: bool
+        ) -> None:
+            for u in shard:
+                attempts[u] += 1
+            if len(shard) == 1 and (
+                permanent or attempts[shard[0]] > self.retries
+            ):
+                quarantine(shard[0], exc)
+                return
+            self._note_fault(faults, "retries")
+            if len(shard) > 1 and (
+                permanent or max(attempts[u] for u in shard) >= 2
+            ):
+                # repeatedly-failing multi-job shard: bisect so the
+                # blame narrows to the offending job, which will be
+                # quarantined alone once isolated
+                mid = len(shard) // 2
+                retry_shards.extend([shard[:mid], shard[mid:]])
+            else:
+                retry_shards.append(list(shard))
+
+        def pool_lost() -> None:
+            nonlocal broken_events, inline
+            broken_events += 1
+            self._note_fault(faults, "pool_rebuilds")
+            if broken_events > self.max_pool_rebuilds:
+                # the pool is unrecoverable: graceful degradation to
+                # in-process execution for whatever is still outstanding
+                inline = True
+                faults["inline_fallback"] = True
+                with self._lock:
+                    self._stats["inline_fallbacks"] += 1
+                _LOG.warning(
+                    "worker pool failed %d time(s); executing the rest "
+                    "of the batch in-process",
+                    broken_events,
+                )
+
+        def admitting() -> bool:
+            # new work joins only while no failure awaits recovery
+            return not (retry_shards or pool_broken or timeout_hit)
+
+        queue = admit(jobs)
+        retry_shards: list[list[int]] = []
+        # shard future -> (its units, deadline or None, dispatch time)
+        in_flight: dict[Future, tuple[list[int], float | None, float]] = {}
+        pool_broken = timeout_hit = False
+        wake = None
+        while True:
+            if intake is not None and admitting():
+                arrivals, wake = intake()
+                queue += admit(arrivals)
             # sibling slices of an already-quarantined job have nothing
             # left to contribute; drop them before dispatching
-            queue = [
-                [u for u in shard if owner[u] not in failures]
-                for shard in queue
-            ]
+            queue = [[u for u in s if owner[u] not in failures] for s in queue]
             queue = [shard for shard in queue if shard]
-            if not queue or inline_rest:
-                break
-            retry_shards: list[list[int]] = []
-            min_retry_attempt: int | None = None
-            pool_broken = False
-            timeout_hit = False
-
-            def fail_shard(
-                shard: list[int], exc: BaseException, permanent: bool
-            ) -> None:
-                nonlocal min_retry_attempt
-                for u in shard:
-                    attempts[u] += 1
-                if len(shard) == 1:
-                    unit = shard[0]
-                    if permanent or attempts[unit] > self.retries:
-                        quarantine(unit, exc)
-                    else:
-                        self._note_fault(faults, "retries")
-                        retry_shards.append([unit])
-                        min_retry_attempt = min(
-                            attempts[unit],
-                            min_retry_attempt or attempts[unit],
-                        )
-                elif permanent or max(attempts[u] for u in shard) >= 2:
-                    # repeatedly-failing multi-job shard: bisect so the
-                    # blame narrows to the offending job, which will be
-                    # quarantined alone once isolated
-                    mid = len(shard) // 2
-                    self._note_fault(faults, "retries")
-                    retry_shards.extend([shard[:mid], shard[mid:]])
-                    min_retry_attempt = min(
-                        min(attempts[u] for u in shard),
-                        min_retry_attempt or attempts[shard[0]],
+            if queue and inline:
+                # in-process, every unit is its own shard
+                queue = [[u] for shard in queue for u in shard]
+            elif queue:
+                try:
+                    executor = self._ensure_executor(
+                        warm_job=units[queue[0][0]]
                     )
-                else:
-                    self._note_fault(faults, "retries")
-                    retry_shards.append(list(shard))
-                    min_retry_attempt = min(
-                        min(attempts[u] for u in shard),
-                        min_retry_attempt or attempts[shard[0]],
+                except BackendError:
+                    raise
+                except Exception as exc:
+                    # the pool itself cannot be built: count it against
+                    # the rebuild budget and eventually degrade
+                    _LOG.warning(
+                        "worker pool construction failed (%s: %s)",
+                        type(exc).__name__,
+                        exc,
                     )
-
-            try:
-                executor = self._ensure_executor(
-                    warm_job=units[queue[0][0]]
-                )
-            except BackendError:
-                raise
-            except Exception as exc:
-                # the pool itself cannot be built: count it against the
-                # rebuild budget and eventually degrade to inline
-                broken_events += 1
-                self._note_fault(faults, "pool_rebuilds")
-                if broken_events > self.max_pool_rebuilds:
-                    inline_rest = True
-                _LOG.warning(
-                    "worker pool construction failed (%s: %s)",
-                    type(exc).__name__,
-                    exc,
-                )
-                continue
-
-            dispatched: list[tuple[list[int], Future, float, float]] = []
+                    pool_lost()
+                    continue
             for shard in queue:
                 indexed = [(u, units[u], attempts[u]) for u in shard]
-                self._acquire_slots(len(indexed))
-                self._job_started(len(indexed))
+                if acquire_slots:
+                    self._job_started(len(indexed))
                 with self._lock:
                     self._stats["shards_dispatched"] += 1
-                shard_count += 1
+                tally["shards"] += 1
+                dispatched_at = time.time()
                 try:
-                    shard_future = executor.submit(
-                        _run_shard,
-                        indexed,
-                        method_qubit_budgets(),
-                        self.fault_policy,
-                        self._telemetry_flags(),
-                    )
+                    if inline:
+                        shard_future = self._run_shard_inline(indexed)
+                    else:
+                        shard_future = executor.submit(
+                            _run_shard,
+                            indexed,
+                            method_qubit_budgets(),
+                            self.fault_policy,
+                            # the worker mirrors our tracing/recording
+                            (
+                                telemetry_spans.tracing_enabled(),
+                                telemetry_records.recording_enabled(),
+                            ),
+                        )
                 except BrokenExecutor as exc:
-                    # the pool died under us mid-dispatch: this shard
-                    # (and the rest of the round) will be retried on
-                    # the rebuilt pool
-                    self._job_finished(len(indexed))
-                    pool_broken = True
-                    self._note_fault(faults, "transient_errors")
-                    fail_shard(shard, exc, permanent=False)
-                    continue
+                    # the pool died under us mid-dispatch: the shard
+                    # fails through the collection path below
+                    shard_future = Future()
+                    shard_future.set_exception(exc)
                 except BaseException:
                     # a failed dispatch must hand its backpressure
                     # slots back, or retries deadlock
-                    self._job_finished(len(indexed))
+                    if acquire_slots:
+                        self._job_finished(len(indexed))
                     raise
-                shard_future.add_done_callback(
-                    lambda done, n=len(indexed): self._job_finished(n)
-                )
-                dispatched.append(
-                    (shard, shard_future, time.monotonic(), time.time())
-                )
-
-            for shard, shard_future, dispatch_time, dispatched_at in (
-                dispatched
-            ):
-                budget = (
-                    None
-                    if self.shard_timeout is None
-                    else self.shard_timeout * max(1, len(shard))
-                )
-                try:
-                    if budget is None:
-                        shard_result = shard_future.result()
-                    else:
-                        shard_result = shard_future.result(
-                            timeout=max(
-                                0.0,
-                                dispatch_time
-                                + budget
-                                - time.monotonic(),
-                            )
-                        )
-                except concurrent.futures.TimeoutError:
-                    timeout_hit = True
-                    self._note_fault(faults, "timeouts")
-                    self._note_fault(faults, "transient_errors")
-                    fail_shard(
-                        shard,
-                        TransientError(
-                            f"shard of {len(shard)} unit(s) exceeded "
-                            f"its {budget:.3g}s timeout"
-                        ),
-                        permanent=False,
+                if acquire_slots:
+                    shard_future.add_done_callback(
+                        lambda done, n=len(indexed): self._job_finished(n)
                     )
-                except BrokenExecutor as exc:
-                    pool_broken = True
-                    self._note_fault(faults, "transient_errors")
-                    fail_shard(shard, exc, permanent=False)
-                except Exception as exc:
+                deadline = None if self.shard_timeout is None else (
+                    time.monotonic() + self.shard_timeout * len(shard)
+                )
+                in_flight[shard_future] = (shard, deadline, dispatched_at)
+            queue = []
+
+            if in_flight:
+                deadlines = [d for _, d, _ in in_flight.values() if d]
+                timeout = None
+                if deadlines:
+                    timeout = max(0.0, min(deadlines) - time.monotonic())
+                watched = set(in_flight)
+                if wake is not None and admitting():
+                    watched.add(wake)  # a submit() admits more work
+                concurrent.futures.wait(
+                    watched, timeout, concurrent.futures.FIRST_COMPLETED
+                )
+                now = time.monotonic()
+                for shard_future, (shard, deadline, dispatched_at) in list(
+                    in_flight.items()
+                ):
+                    if shard_future.done():
+                        try:
+                            shard_result, exc = shard_future.result(), None
+                        except Exception as error:
+                            exc = error
+                    elif deadline is not None and now >= deadline:
+                        # abandon the hung attempt; its worker is killed
+                        # once the rest of the round is in
+                        timeout_hit = True
+                        self._note_fault(faults, "timeouts")
+                        exc = TransientError(
+                            f"shard of {len(shard)} unit(s) exceeded its "
+                            f"{self.shard_timeout * len(shard):.3g}s timeout"
+                        )
+                    else:
+                        continue
+                    del in_flight[shard_future]
+                    if exc is None:
+                        self._absorb_shard(shard_result, dispatched_at)
+                        shard_walls.append(shard_result.wall_seconds)
+                        for unit, experiment in shard_result.experiments:
+                            complete_unit(unit, experiment)
+                        continue
+                    # a dead pool fails every shard it held; it is
+                    # rebuilt before the retries run
+                    pool_broken |= isinstance(exc, BrokenExecutor)
                     permanent = classify_error(exc) == "permanent"
                     if not permanent:
                         self._note_fault(faults, "transient_errors")
-                    fail_shard(shard, exc, permanent=permanent)
-                else:
-                    self._absorb_shard(shard_result, dispatched_at)
-                    shard_walls.append(shard_result.wall_seconds)
-                    for unit, experiment in shard_result.experiments:
-                        complete_unit(unit, experiment)
+                    fail_shard(shard, exc, permanent)
+                continue
 
+            if admitting():
+                break  # nothing in flight, queued or failed
             if pool_broken:
-                broken_events += 1
-                self._note_fault(faults, "pool_rebuilds")
                 self._rebuild_pool(kill=False)
-                if broken_events > self.max_pool_rebuilds:
-                    inline_rest = True
+                pool_lost()
             elif timeout_hit:
                 # hung workers hold their tasks forever; terminating
                 # them is the only way to reclaim the pool
                 self._note_fault(faults, "pool_rebuilds")
                 self._rebuild_pool(kill=True)
-            queue = retry_shards
-            if queue and not inline_rest and min_retry_attempt:
-                time.sleep(
-                    self._backoff_seconds(min_retry_attempt, queue[0][0])
-                )
+            queue, retry_shards = retry_shards, []
+            pool_broken = timeout_hit = False
+            if queue:
+                lowest = min(attempts[u] for shard in queue for u in shard)
+                time.sleep(self._backoff_seconds(lowest, queue[0][0]))
 
-        if inline_rest and queue:
-            # the pool is unrecoverable: graceful degradation to the
-            # inline path for whatever is still outstanding
-            with self._lock:
-                self._stats["inline_fallbacks"] += 1
-            faults["inline_fallback"] = True
-            _LOG.warning(
-                "worker pool failed %d time(s); executing the remaining "
-                "%d unit(s) inline",
-                broken_events,
-                sum(len(shard) for shard in queue),
-            )
-            for shard in queue:
-                for unit in shard:
-                    if owner[unit] in failures:
-                        continue
-                    if unit_results[unit] is not None:
-                        continue
-                    experiment, exc, _ = self._execute_inline_with_retry(
-                        unit, units[unit], faults
-                    )
-                    if exc is not None:
-                        attempts[unit] += 1
-                        quarantine(unit, exc)
-                    else:
-                        complete_unit(unit, experiment)
         if shard_walls:
             scheduler_meta["actual_shard_seconds"] = [
                 round(wall, 6) for wall in shard_walls
@@ -1287,36 +1216,50 @@ class ExecutionService:
                 actual_seconds=scheduler_meta.get("actual_shard_seconds"),
                 imbalance=scheduler_meta.get("shard_imbalance"),
             )
-        return shard_count, scheduler_meta
+        return tally, scheduler_meta
+
+    def _run_shard_inline(self, indexed_jobs: list) -> Future:
+        """Run a shard in this process; a done future, like a pool's.
+
+        This is the in-process executor of ``jobs=1`` services and of
+        pools lost more than ``max_pool_rebuilds`` times: the worker's
+        job loop on ``self.backend``, with kill faults downgraded to
+        transient errors — ending the caller's own process is never
+        acceptable chaos.  The job cannot be preempted, so
+        ``shard_timeout`` never fires in-process.
+        """
+        future: Future = Future()
+        start = time.perf_counter()
+        try:
+            experiments = _execute_indexed(
+                self.backend, indexed_jobs, self.fault_policy, allow_kill=False
+            )
+        except Exception as exc:
+            future.set_exception(exc)
+        else:
+            future.set_result(
+                ShardResult(
+                    experiments=experiments,
+                    worker_pid="inline",
+                    cache_totals=cache_stats_totals(),
+                    wall_seconds=time.perf_counter() - start,
+                    jobs_run=len(experiments),
+                )
+            )
+        return future
 
     def run_batch(
         self,
         circuits: Sequence,
         shots: int,
         seeds: Sequence[int | None],
-        with_noise: bool = True,
-        with_readout_error: bool = True,
-        method: str = "auto",
-        trajectories: int | str | None = None,
-        target_error: float | None = None,
-        trajectory_batch: int | None = None,
-        stabilizer_shot_batch: int | None = None,
+        **options,
     ) -> tuple[list, dict]:
         """The backend integration point: pre-resolved seeds in, ordered
-        ExperimentResults + service metadata out."""
+        ExperimentResults + service metadata out.  ``options`` are the
+        other :class:`CircuitJob` fields (``method``, ``with_noise``...)."""
         jobs = [
-            CircuitJob(
-                circuit=circuit,
-                shots=shots,
-                seed=seed,
-                with_noise=with_noise,
-                with_readout_error=with_readout_error,
-                method=method,
-                trajectories=trajectories,
-                target_error=target_error,
-                trajectory_batch=trajectory_batch,
-                stabilizer_shot_batch=stabilizer_shot_batch,
-            )
+            CircuitJob(circuit=circuit, shots=shots, seed=seed, **options)
             for circuit, seed in zip(circuits, seeds)
         ]
         return self.run_jobs(jobs)
@@ -1325,7 +1268,7 @@ class ExecutionService:
     def as_completed(
         futures: Iterable[Future], timeout: float | None = None
     ) -> Iterator[Future]:
-        """Yield futures as they finish (store hits come back first)."""
+        """Yield futures as they finish."""
         return concurrent.futures.as_completed(futures, timeout=timeout)
 
     def __repr__(self) -> str:

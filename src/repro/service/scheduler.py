@@ -29,6 +29,8 @@ to the parent so the service can report them in its result metadata.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import os
 import pickle
@@ -233,6 +235,8 @@ class ShardResult:
     #: with this worker's FIRST shard only (the parent grafts it as a
     #: ``worker.warm`` span exactly once per worker)
     warm_info: dict | None = None
+    #: OpenBLAS threads this worker was pinned to (``None`` = untouched)
+    blas_threads: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +245,45 @@ class ShardResult:
 
 #: per-process state: populated once by the pool initializer
 _WORKER: dict = {}
+
+def _pin_blas_threads(workers: int) -> int | None:
+    """Cap the bundled OpenBLAS of numpy and scipy at a CPU share.
+
+    OpenBLAS runs one thread per CPU in *every* process, so N workers
+    oversubscribe the machine N-fold.  Sets ``max(1, usable_cpus //
+    workers)`` threads through the wheels' own setter symbols and
+    returns it, or ``None`` when no bundled OpenBLAS was found.
+    """
+    import numpy
+    import scipy
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    threads = max(1, cpus // workers)
+    libraries = []
+    for module in (numpy, scipy):
+        site = os.path.dirname(os.path.dirname(module.__file__))
+        libs = os.path.join(site, f"{module.__name__}.libs", "*openblas*")
+        for path in glob.glob(libs):
+            try:
+                libraries.append(ctypes.CDLL(path))
+            except OSError:  # not loadable here: leave it unpinned
+                pass
+    setters = [
+        getattr(library, symbol)
+        for library in libraries
+        for symbol in (  # 64-bit-integer and plain wheel builds
+            "scipy_openblas_set_num_threads64_",
+            "scipy_openblas_set_num_threads",
+        )
+        if hasattr(library, symbol)
+    ]
+    for setter in setters:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(threads)
+    return threads if setters else None
 
 
 def worker_backend_spec(backend) -> tuple[str, object]:
@@ -268,6 +311,7 @@ def _initialize_worker(
     warm_blob: bytes | None,
     method_budgets: dict | None = None,
     fault_policy: FaultPolicy | None = None,
+    workers: int | None = None,
 ) -> None:
     """Pool initializer: build the backend once per process and warm it.
 
@@ -285,7 +329,13 @@ def _initialize_worker(
     travels back to the parent with every shard result, surfacing as
     ``warm_error`` in the per-worker service metadata so an
     unexpectedly cold worker is visible instead of just slow.
+
+    ``workers`` is the pool size: each worker pins its BLAS to its share
+    of the CPUs (:func:`_pin_blas_threads`) before warming up.
     """
+    _WORKER["blas_threads"] = (
+        None if workers is None else _pin_blas_threads(workers)
+    )
     backend = _realize_backend(spec)
     _WORKER["backend"] = backend
     _WORKER["fault_policy"] = fault_policy
@@ -341,11 +391,11 @@ def _worker_cache_totals() -> dict:
 def run_job_on_backend(backend, job: CircuitJob):
     """Execute one job spec on a live backend; returns the experiment.
 
-    Shared by the pool workers and the inline (single-process) service
-    path.  Failures of a *slice sub-job* are re-raised naming the
-    parent job the slice was fanned out from: the budget/engine error
-    alone names only the method and cap, which is useless to a caller
-    who submitted whole jobs and never saw the slices.
+    Shared by the pool workers and the service's in-process executor.
+    Failures of a *slice sub-job* are re-raised naming the parent job
+    the slice was fanned out from: the budget/engine error alone names
+    only the method and cap, which is useless to a caller who submitted
+    whole jobs and never saw the slices.
     """
     try:
         result = backend.run(
@@ -448,17 +498,22 @@ def _run_shard(
         trace_spans=trace_payload,
         records=records_payload,
         warm_info=warm_info,
+        blas_threads=_WORKER.get("blas_threads"),
     )
 
 
 def _execute_indexed(
-    backend, indexed_jobs: Sequence[tuple[int, CircuitJob, int]], policy
+    backend, indexed_jobs: Sequence[tuple[int, CircuitJob, int]], policy,
+    allow_kill: bool = True,
 ) -> list:
-    """The shard job loop (span per job when the worker is tracing)."""
+    """The shard job loop (span per job when tracing); the in-process
+    executor passes ``allow_kill=False`` (kill faults downgrade)."""
     experiments = []
     for index, job, attempt in indexed_jobs:
         with telemetry_spans.span("job.run", index=index, attempt=attempt):
             if policy is not None:
-                policy.apply("job", index, attempt, tag=job.tag)
+                policy.apply(
+                    "job", index, attempt, tag=job.tag, allow_kill=allow_kill
+                )
             experiments.append((index, run_job_on_backend(backend, job)))
     return experiments

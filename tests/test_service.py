@@ -7,6 +7,8 @@ pytest.ini) but use quick configs so the whole module stays well under
 30 s — tier-1 (`pytest -x -q`) runs everything.
 """
 
+import glob
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -429,6 +431,94 @@ class TestShardingDeterminism:
 # futures API: submit / as_completed / backpressure / shutdown
 # ---------------------------------------------------------------------------
 
+def test_concurrent_submitters_all_resolve(backend):
+    """Many threads submitting at once (more than cores, with a tiny
+    switch interval) never lose a job between the submit queue and the
+    service's dispatcher thread, and every count matches a batch run."""
+    import sys
+    import threading
+
+    from repro.circuits import QuantumCircuit
+
+    circuit = QuantumCircuit(3, 3)
+    circuit.h(0)
+    circuit.cx(0, 1)
+    circuit.cx(1, 2)
+    for qubit in range(3):
+        circuit.measure(qubit, qubit)
+    jobs = [CircuitJob(circuit, shots=32, seed=seed) for seed in range(40)]
+    service = ExecutionService(backend, max_pending=4)
+    futures = [None] * len(jobs)
+
+    def submit_every_eighth(offset):
+        for index in range(offset, len(jobs), 8):
+            futures[index] = service.submit(jobs[index])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=submit_every_eighth, args=(offset,))
+            for offset in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+        service.shutdown()
+    with ExecutionService(backend) as reference:
+        expected, _ = reference.run_jobs(jobs)
+    assert counts_of(results) == counts_of(expected)
+    stats = service.stats()
+    assert stats["pending"] == 0
+    assert stats["jobs_run"] == len(jobs)
+    assert stats["max_pending_seen"] <= 4
+
+
+def test_cancelled_submission_leaves_dispatcher_running(
+    backend, sweep_circuits
+):
+    """A future cancelled while its job waits in the submit queue is
+    skipped (and its backpressure slot returned); the dispatcher keeps
+    serving later submissions."""
+    import time
+
+    jobs = SweepJob(sweep_circuits[:3], shots=SHOTS, seed=11).jobs()
+    slow = replace(jobs[0], tag="slow")
+    policy = FaultPolicy(
+        rules=(
+            FaultRule(
+                "delay",
+                delay_seconds=0.5,
+                max_attempts=None,
+                match_tag="slow",
+            ),
+        )
+    )
+    with ExecutionService(
+        backend, max_pending=2, fault_policy=policy
+    ) as service:
+        first = service.submit(slow)
+        deadline = time.monotonic() + 30
+        while not first.running() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        # the dispatcher is inside the slow job: this one stays queued
+        cancelled = service.submit(jobs[1])
+        assert cancelled.cancel()
+        later = service.submit(jobs[2])
+        results = [first.result(timeout=60), later.result(timeout=60)]
+    assert cancelled.cancelled()
+    with ExecutionService(backend) as reference:
+        expected = reference.map([jobs[0], jobs[2]])
+    assert counts_of(results) == counts_of(expected)
+    assert service.stats()["pending"] == 0
+    assert service.stats()["jobs_run"] == 2
+
+
 @pytest.mark.slow
 class TestFuturesAPI:
     def test_submit_and_as_completed(self, backend, sweep_circuits):
@@ -469,6 +559,26 @@ class TestFuturesAPI:
             service.map(SweepJob(sweep_circuits, shots=SHOTS, seed=3))
             assert service.stats()["max_pending_seen"] <= 2
 
+    @pytest.mark.parametrize("wait", [True, False])
+    def test_shutdown_finishes_submitted_jobs(
+        self, backend, sweep_circuits, wait
+    ):
+        # like Executor.shutdown: jobs submitted before it still run and
+        # new ones are refused; wait=True has them done on return
+        sweep = SweepJob(sweep_circuits, shots=SHOTS, seed=17)
+        service = ExecutionService(backend, jobs=2)
+        futures = [service.submit(job) for job in sweep.jobs()]
+        service.shutdown(wait=wait)
+        with pytest.raises(BackendError):
+            service.submit(sweep.jobs()[0])
+        results = [
+            future.result(timeout=0 if wait else 60) for future in futures
+        ]
+        reference = backend.run(
+            sweep_circuits, shots=SHOTS, seeds=sweep.resolved_seeds()
+        )
+        assert counts_of(results) == counts_of(reference.experiments)
+
     def test_shutdown_rejects_new_work(self, backend, sweep_circuits):
         service = ExecutionService(backend, jobs=2)
         service.shutdown()
@@ -490,6 +600,20 @@ class TestFuturesAPI:
                 SweepJob(sweep_circuits[:3], shots=SHOTS, seed=29)
             )
         assert counts_of(inline_results) == counts_of(pooled_results)
+
+    def test_pool_workers_pin_blas_threads(self, backend, sweep_circuits):
+        site = os.path.dirname(os.path.dirname(np.__file__))
+        if not glob.glob(os.path.join(site, "numpy.libs", "*openblas*")):
+            pytest.skip("numpy does not bundle OpenBLAS here")
+        with ExecutionService(backend, jobs=2) as service:
+            _, meta = service.run_jobs(
+                SweepJob(sweep_circuits[:2], shots=SHOTS, seed=5).jobs()
+            )
+        share = max(1, len(os.sched_getaffinity(0)) // 2)
+        assert {
+            worker.get("blas_threads")
+            for worker in meta["per_worker"].values()
+        } == {share}
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +914,81 @@ class TestFaultRecoveryPooled:
             experiments = [f.result(timeout=120) for f in futures]
         assert counts_of(experiments) == clean_counts
         assert service.stats()["retries"] >= 1
+
+    def test_submit_path_honours_shard_timeout(
+        self, backend, fault_jobs, clean_counts
+    ):
+        # submit() goes through the batch recovery loop, so a hung
+        # first attempt is timed out and rerun on a fresh pool instead
+        # of leaving the future unresolved until the worker wakes up
+        policy = FaultPolicy(
+            rules=(
+                FaultRule("delay", delay_seconds=20.0, max_attempts=1),
+            )
+        )
+        with ExecutionService(
+            backend,
+            jobs=2,
+            fault_policy=policy,
+            retry_backoff=0.001,
+            shard_timeout=1.0,
+        ) as service:
+            experiment = service.submit(fault_jobs[0]).result(timeout=10)
+            assert service.stats()["timeouts"] >= 1
+        assert counts_of([experiment]) == clean_counts[:1]
+
+    def test_submitted_trajectory_job_fans_out(self, backend, fault_jobs):
+        job = replace(fault_jobs[0], method="trajectory", trajectories=16)
+        with ExecutionService(backend) as inline:
+            reference = inline.submit(job).result(timeout=120)
+        with ExecutionService(backend, jobs=2) as service:
+            experiment = service.submit(job).result(timeout=120)
+            assert service.stats()["shards_dispatched"] >= 2
+        assert counts_of([experiment]) == counts_of([reference])
+
+    def test_shutdown_waits_for_submitted_retries(
+        self, backend, fault_jobs, clean_counts
+    ):
+        # every first attempt fails, so shutdown arrives while the
+        # submitted jobs still need a retry round
+        policy = FaultPolicy(rules=(FaultRule("transient", max_attempts=1),))
+        with ExecutionService(
+            backend, jobs=2, fault_policy=policy, retry_backoff=0.001
+        ) as service:
+            futures = [service.submit(job) for job in fault_jobs]
+        experiments = [future.result(timeout=0) for future in futures]
+        assert counts_of(experiments) == clean_counts
+        assert service.stats()["retries"] >= 1
+
+    def test_submitted_jobs_resolve_as_they_finish(
+        self, backend, fault_jobs, clean_counts
+    ):
+        # a job submitted while a slow one runs joins the running loop
+        # on the idle worker and resolves first
+        import time
+
+        policy = FaultPolicy(
+            rules=(
+                FaultRule(
+                    "delay",
+                    delay_seconds=6.0,
+                    max_attempts=None,
+                    match_tag="slow",
+                ),
+            )
+        )
+        with ExecutionService(
+            backend, jobs=2, fault_policy=policy
+        ) as service:
+            slow = service.submit(replace(fault_jobs[0], tag="slow"))
+            deadline = time.monotonic() + 30
+            while not slow.running() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            fast = service.submit(fault_jobs[1])
+            experiment = fast.result(timeout=5)
+            assert not slow.done()
+            slow_experiment = slow.result(timeout=60)
+        assert counts_of([slow_experiment, experiment]) == clean_counts[:2]
 
     def test_warm_failure_surfaces_in_worker_metadata(
         self, backend, fault_jobs, clean_counts

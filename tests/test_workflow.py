@@ -1,7 +1,7 @@
 """Tests for the co-optimization workflow and duration search.
 
 These use reduced optimizer budgets (the full-budget behaviour is
-exercised by the experiment drivers and recorded in EXPERIMENTS.md).
+exercised by the experiment drivers, ``python -m repro.experiments``).
 """
 
 import numpy as np
@@ -100,8 +100,8 @@ class TestDurationSearch:
         """The search cuts the mixer by >= 40% on the 32 dt grid.
 
         (The full-budget run lands at exactly 128 dt / 60%, the paper's
-        number — see EXPERIMENTS.md; at this test's reduced training
-        budget the AR threshold may stop one or two grid steps earlier.)
+        number; at this test's reduced training budget the AR threshold
+        may stop one or two grid steps earlier.)
         """
         pipeline = ExecutionPipeline(
             backend=backend, cost=ExpectedCutCost(problem), shots=512
